@@ -25,12 +25,13 @@ test:
 race:
 	$(GO) test -shuffle=on -race ./internal/...
 
-# Determinism sweep: the fault-injection and failover suites must pass
+# Determinism sweep: the fault-injection and failover suites, plus the
+# server-worker and self-clocked coalescer concurrency tests, must pass
 # repeatedly, in shuffled order, under the race detector — no run-order
 # luck, no wall-clock luck.
 determinism:
 	$(GO) test -count=3 -shuffle=on -race \
-		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace' \
+		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|ServerWorker|CoalescerSelfClock' \
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
 		./internal/core/ ./internal/capability/
 

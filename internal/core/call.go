@@ -68,6 +68,9 @@ func (s *Int32Slice) MarshalXDR(e *xdr.Encoder) error {
 	return nil
 }
 
+// SizeXDR implements xdr.Sizer.
+func (s *Int32Slice) SizeXDR() int { return 4 + 4*len(s.V) }
+
 // UnmarshalXDR implements xdr.Unmarshaler.
 func (s *Int32Slice) UnmarshalXDR(d *xdr.Decoder) error {
 	var err error
@@ -83,6 +86,9 @@ func (s *StringValue) MarshalXDR(e *xdr.Encoder) error {
 	e.PutString(s.V)
 	return nil
 }
+
+// SizeXDR implements xdr.Sizer.
+func (s *StringValue) SizeXDR() int { return xdr.SizeOpaque(len(s.V)) }
 
 // UnmarshalXDR implements xdr.Unmarshaler.
 func (s *StringValue) UnmarshalXDR(d *xdr.Decoder) error {
@@ -108,6 +114,9 @@ func (s *Float64Slice) MarshalXDR(e *xdr.Encoder) error {
 	e.PutFloat64s(s.V)
 	return nil
 }
+
+// SizeXDR implements xdr.Sizer.
+func (s *Float64Slice) SizeXDR() int { return 4 + 8*len(s.V) }
 
 // UnmarshalXDR implements xdr.Unmarshaler.
 func (s *Float64Slice) UnmarshalXDR(d *xdr.Decoder) error {

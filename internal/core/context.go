@@ -80,6 +80,10 @@ type Runtime struct {
 	errCounters   map[errs.Code]*stats.Counter
 	retryAttempts *stats.Counter
 
+	// srv holds the server-side dispatch counters (srv.*), resolved
+	// once so dispatch never takes the registry lock.
+	srv srvCounters
+
 	// Per-endpoint EWMA meter cache (see meters.go), keyed by the
 	// health-tracker key "proto|addr" and guarded separately from the
 	// main runtime lock so prepare() never contends with contexts/gps
@@ -126,6 +130,7 @@ func NewRuntime(network *netsim.Network, process string) *Runtime {
 	for _, c := range errs.KnownCodes() {
 		rt.errCounters[c] = metrics.CounterWith("rpc.errors", stats.Labels{"code": c.String()})
 	}
+	rt.srv = newSrvCounters(metrics)
 	rt.defaultPool.Register(shmFactory{})
 	rt.defaultPool.Register(streamFactory{})
 	rt.defaultPool.Register(nexusFactory{})

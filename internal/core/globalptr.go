@@ -30,7 +30,13 @@ type GlobalPtr struct {
 	proto   Protocol
 	entry   int           // index into ref.Protocols of the selected entry
 	metrics *protoMetrics // cached handles for the bound protocol
-	policy  *transport.BatchPolicy
+	// key and em are the bound endpoint's health-tracker key and meter
+	// pair: fixed for the life of a binding, so bindToLocked works them
+	// out once instead of every prepare.
+	key string
+	em  *endpointMeters
+
+	policy *transport.BatchPolicy
 
 	// healthGen is the health tracker generation observed when the
 	// current binding was made; when the tracker moves (an endpoint
@@ -143,6 +149,7 @@ func (g *GlobalPtr) invalidateLocked() {
 	}
 	g.entry = -1
 	g.metrics = nil
+	g.key, g.em = "", nil
 }
 
 // SetMaxInFlight resizes the per-GP bound on outstanding asynchronous
@@ -319,6 +326,8 @@ func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 	g.proto = p
 	g.entry = idx
 	g.metrics = newProtoMetrics(g.host.rt.Metrics(), string(p.ID()))
+	g.key = entryHealthKey(g.ref.Protocols[idx])
+	g.em = g.host.rt.endpointMeter(g.key)
 	g.applyBatchingLocked()
 	g.registerProbesLocked()
 	g.host.rt.recordEvent(event, g.ref.Object,
@@ -433,7 +442,6 @@ func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string
 			deadline = d
 		}
 	}
-	key := entryHealthKey(g.ref.Protocols[g.entry])
 	return prepared{
 		proto: g.proto,
 		req: &wire.Message{
@@ -445,8 +453,8 @@ func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string
 			Body:     args,
 		},
 		pm:  g.metrics,
-		em:  g.host.rt.endpointMeter(key),
-		key: key,
+		em:  g.em,
+		key: g.key,
 	}, nil
 }
 

@@ -79,10 +79,10 @@ func (g *GlobalPtr) post(root *obs.Active, method string, args []byte) error {
 // handleOneWay executes a one-way request: same path as handleRequest
 // but all results and errors are discarded and no frame travels back.
 func (c *Context) handleOneWay(m *wire.Message, ds *obs.Active) {
-	c.rt.Metrics().Counter("srv.oneway").Inc()
+	c.rt.srv.oneway.Inc()
 	req := *m
 	req.Type = wire.TRequest
 	if _, err := c.handleRequest(&req, ds); err != nil {
-		c.rt.Metrics().Counter("srv.oneway_faults").Inc()
+		c.rt.srv.onewayFaults.Inc()
 	}
 }

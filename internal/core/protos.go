@@ -269,16 +269,28 @@ type nexusProto struct {
 func (p *nexusProto) ID() ProtoID { return ProtoNexus }
 
 func (p *nexusProto) Call(m *wire.Message) (*wire.Message, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	out, err := p.host.nexus().RSR(p.sp, orbInvokeHandler, e.Bytes())
+	out, err := p.host.nexus().RSR(p.sp, orbInvokeHandler, embed(m))
 	if err != nil {
 		return nil, err
 	}
-	reply := new(wire.Message)
-	if err := xdr.Unmarshal(out, reply); err != nil {
+	return unembed(out)
+}
+
+// embed encodes m, exactly sized, as the buffer of a Nexus RSR.
+func embed(m *wire.Message) []byte {
+	e := xdr.NewEncoder(m.Size())
+	// MarshalXDR cannot fail on a Message; the error is part of the
+	// Marshaler contract only.
+	_ = m.MarshalXDR(e)
+	return e.Bytes()
+}
+
+// unembed decodes the reply frame embedded in an RSR result. The result
+// is the body of a frame wire.Read allocated for this exchange alone,
+// so the decoded reply may alias it.
+func unembed(out []byte) (*wire.Message, error) {
+	reply, err := wire.DecodeOwned(out)
+	if err != nil {
 		return nil, errs.Wrap(errs.Codec, err, "core: embedded reply")
 	}
 	return reply, nil
@@ -302,12 +314,7 @@ func (n *nexusPending) Reply() (*wire.Message, error) {
 			n.err = err
 			return
 		}
-		reply := new(wire.Message)
-		if err := xdr.Unmarshal(out, reply); err != nil {
-			n.err = errs.Wrap(errs.Codec, err, "core: embedded reply")
-			return
-		}
-		n.reply = reply
+		n.reply, n.err = unembed(out)
 	})
 	return n.reply, n.err
 }
@@ -315,11 +322,7 @@ func (n *nexusPending) Reply() (*wire.Message, error) {
 // Begin implements PipelinedProtocol: the RSR is issued without waiting,
 // so many embedded invocations may be in flight on the Nexus connection.
 func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	pr, err := p.host.nexus().BeginRSR(p.sp, orbInvokeHandler, e.Bytes())
+	pr, err := p.host.nexus().BeginRSR(p.sp, orbInvokeHandler, embed(m))
 	if err != nil {
 		return nil, err
 	}
@@ -328,11 +331,7 @@ func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
 
 // Post implements OneWayProtocol via a one-way Nexus RSR.
 func (p *nexusProto) Post(m *wire.Message) error {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
-		return err
-	}
-	return p.host.nexus().Post(p.sp, orbInvokeHandler, e.Bytes())
+	return p.host.nexus().Post(p.sp, orbInvokeHandler, embed(m))
 }
 
 func (p *nexusProto) Close() error { return nil } // the node is shared

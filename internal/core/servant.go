@@ -7,8 +7,8 @@ import (
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/wire"
-	"openhpcxx/internal/xdr"
 )
 
 // Servant is a server object exported by a context. Invocations take a
@@ -147,6 +147,26 @@ func (s *Servant) SnapshotLocked() ([]byte, error) {
 	return m.Snapshot()
 }
 
+// srvCounters are the dispatch path's srv.* counter handles.
+type srvCounters struct {
+	requests, faults, drained, expired *stats.Counter
+	batches, batchMsgs                 *stats.Counter
+	oneway, onewayFaults               *stats.Counter
+}
+
+func newSrvCounters(r *stats.Registry) srvCounters {
+	return srvCounters{
+		requests:     r.Counter("srv.requests"),
+		faults:       r.Counter("srv.faults"),
+		drained:      r.Counter("srv.drained"),
+		expired:      r.Counter("srv.expired"),
+		batches:      r.Counter("srv.batches"),
+		batchMsgs:    r.Counter("srv.batch_msgs"),
+		oneway:       r.Counter("srv.oneway"),
+		onewayFaults: r.Counter("srv.oneway_faults"),
+	}
+}
+
 // dispatch is the shared server-side entry point for every protocol
 // class bound to this context: it locates the servant, routes enveloped
 // requests through the registered glue server, invokes the method, and
@@ -196,7 +216,7 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 			rej = movedFault(tomb)
 		} else {
 			ds.SetCause("draining")
-			c.rt.Metrics().Counter("srv.drained").Inc()
+			c.rt.srv.drained.Inc()
 			rej = wire.Faultf(wire.FaultUnavailable, "context %s draining", c.name)
 		}
 		ds.SetErr(rej)
@@ -206,11 +226,11 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 		}
 		return f
 	}
-	c.rt.Metrics().Counter("srv.requests").Inc()
+	c.rt.srv.requests.Inc()
 	reply, err := c.handleRequest(m, ds)
 	if err != nil {
 		ds.SetErr(err)
-		c.rt.Metrics().Counter("srv.faults").Inc()
+		c.rt.srv.faults.Inc()
 		f, ferr := wire.FaultMessage(m, err)
 		if ferr != nil {
 			return nil
@@ -267,7 +287,7 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 	// client: the caller's deadline has passed, retrying cannot help.
 	if m.Expired(c.rt.Clock().Now().UnixNano()) {
 		ds.SetCause("expired")
-		c.rt.Metrics().Counter("srv.expired").Inc()
+		c.rt.srv.expired.Inc()
 		return nil, wire.Faultf(wire.FaultExpired, "deadline expired before %s.%s executed", m.Object, m.Method)
 	}
 
@@ -309,8 +329,8 @@ func (c *Context) handleBatch(m *wire.Message) *wire.Message {
 	if err != nil {
 		return whole(wire.Faultf(wire.FaultBadRequest, "batch: %v", err))
 	}
-	c.rt.Metrics().Counter("srv.batches").Inc()
-	c.rt.Metrics().Counter("srv.batch_msgs").Add(uint64(len(subs)))
+	c.rt.srv.batches.Inc()
+	c.rt.srv.batchMsgs.Add(uint64(len(subs)))
 	replies := make([]*wire.Message, len(subs))
 	for i, sub := range subs {
 		r := c.dispatch(sub)
@@ -331,19 +351,17 @@ func (c *Context) handleBatch(m *wire.Message) *wire.Message {
 }
 
 // nexusInvoke is the handler behind the ORB's Nexus endpoint: the RSR
-// buffer carries an XDR-embedded request message.
+// buffer carries an XDR-embedded request message. buf is the body of
+// the request frame the Nexus server just read, which nothing else
+// holds, so the embedded request may alias it.
 func (c *Context) nexusInvoke(buf []byte) ([]byte, error) {
-	req := new(wire.Message)
-	if err := xdr.Unmarshal(buf, req); err != nil {
+	req, err := wire.DecodeOwned(buf)
+	if err != nil {
 		return nil, wire.Faultf(wire.FaultBadRequest, "embedded message: %v", err)
 	}
 	reply := c.dispatch(req)
 	if reply == nil {
 		reply = &wire.Message{Type: wire.TReply, Object: req.Object, Method: req.Method}
 	}
-	e := xdr.NewEncoder(64 + len(reply.Body))
-	if err := reply.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
+	return embed(reply), nil
 }

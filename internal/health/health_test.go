@@ -168,8 +168,11 @@ func TestProbeTimeoutCountsAsFailure(t *testing.T) {
 		tr.ProbeNow()
 		close(done)
 	}()
-	// Advance only once ProbeNow has armed its timeout.
-	for fc.Waiters() == 0 {
+	// Advance only once ProbeNow has armed its timeout. SetProbe also
+	// started the background prober, whose ProbeInterval wait is the
+	// other waiter; counting only to one let the test advance before
+	// the probe timeout existed, and then wait forever.
+	for fc.Waiters() < 2 {
 		select {
 		case <-done:
 			t.Fatal("ProbeNow returned before the hung probe timed out")

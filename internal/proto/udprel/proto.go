@@ -25,8 +25,12 @@ func Bind(ctx *core.Context, port int, cfg Config) error {
 		return err
 	}
 	node := NewNode(pc, cfg, func(from netsim.Addr, req []byte) []byte {
-		msg := new(wire.Message)
-		if err := xdr.Unmarshal(req, msg); err != nil {
+		// req is a buffer of its own: the node's read loop reuses its
+		// datagram buffer, but fragments are copied out of it, and the
+		// reassembled body is copied once more by decodeMessage. Nothing
+		// touches req after this handler, so the request may alias it.
+		msg, err := wire.DecodeOwned(req)
+		if err != nil {
 			f, ferr := wire.FaultMessage(&wire.Message{}, wire.Faultf(wire.FaultBadRequest, "udprel: %v", err))
 			if ferr != nil {
 				return nil
@@ -45,7 +49,7 @@ func Bind(ctx *core.Context, port int, cfg Config) error {
 }
 
 func mustEncode(m *wire.Message) []byte {
-	e := xdr.NewEncoder(64 + len(m.Body))
+	e := xdr.NewEncoder(m.Size())
 	if err := m.MarshalXDR(e); err != nil {
 		return nil
 	}
@@ -127,16 +131,13 @@ func (*proto) ID() core.ProtoID { return ID }
 
 // Call implements core.Protocol.
 func (p *proto) Call(m *wire.Message) (*wire.Message, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	out, err := p.node.Request(p.peer, e.Bytes())
+	out, err := p.node.Request(p.peer, mustEncode(m))
 	if err != nil {
 		return nil, err
 	}
-	reply := new(wire.Message)
-	if err := xdr.Unmarshal(out, reply); err != nil {
+	// Like a request, a reply reaches Request in a buffer of its own.
+	reply, err := wire.DecodeOwned(out)
+	if err != nil {
 		return nil, errs.Wrap(errs.Codec, err, "udprel: reply frame")
 	}
 	return reply, nil

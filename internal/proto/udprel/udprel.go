@@ -103,9 +103,18 @@ type Node struct {
 	pending   map[uint64]chan []byte // reqID -> reply payload
 	acks      map[ackKey]chan struct{}
 	rx        map[rxKey]*rxState
-	done      map[rxKey]time.Time // completed messages, for dedup
-	closed    bool
-	wg        sync.WaitGroup
+	// done remembers completed messages for a minute, for duplicate
+	// suppression; doneFIFO holds the same keys in completion order, so
+	// pruning pops expired entries off its front instead of scanning
+	// the map.
+	done     map[rxKey]struct{}
+	doneFIFO []doneEntry
+	doneHead int
+	// pruneSteps counts the FIFO entries markDone has examined, so tests
+	// can hold the per-message prune work constant.
+	pruneSteps uint64
+	closed     bool
+	wg         sync.WaitGroup
 }
 
 type ackKey struct {
@@ -118,6 +127,15 @@ type rxKey struct {
 	from  netsim.Addr
 	msgID uint64
 }
+
+type doneEntry struct {
+	key rxKey
+	at  time.Time
+}
+
+// doneTTL is how long a completed message is remembered: a duplicate
+// arriving within it is suppressed.
+const doneTTL = time.Minute
 
 type rxState struct {
 	frags   [][]byte
@@ -133,7 +151,7 @@ func NewNode(pc *netsim.PacketConn, cfg Config, handler Handler) *Node {
 		pending: make(map[uint64]chan []byte),
 		acks:    make(map[ackKey]chan struct{}),
 		rx:      make(map[rxKey]*rxState),
-		done:    make(map[rxKey]time.Time),
+		done:    make(map[rxKey]struct{}),
 	}
 	n.wg.Add(1)
 	go n.readLoop()
@@ -357,18 +375,31 @@ func (n *Node) assemble(from netsim.Addr, msgID uint64, frag, count uint32, payl
 	return msg, true
 }
 
-// markDone records a completed message for duplicate suppression,
-// pruning old entries. Caller holds n.mu.
+// markDone records a completed message for duplicate suppression and
+// forgets the ones completed more than doneTTL ago. Completion times
+// only grow, so the expired entries are the oldest: popping them off
+// the front of the FIFO costs amortised O(1) per message, however many
+// the table holds. Caller holds n.mu.
 func (n *Node) markDone(key rxKey) {
-	n.done[key] = time.Now()
-	if len(n.done) > 8192 {
-		cutoff := time.Now().Add(-time.Minute)
-		for k, t := range n.done {
-			if t.Before(cutoff) {
-				delete(n.done, k)
-			}
+	now := n.cfg.Clock.Now()
+	cutoff := now.Add(-doneTTL)
+	for n.doneHead < len(n.doneFIFO) {
+		n.pruneSteps++
+		if !n.doneFIFO[n.doneHead].at.Before(cutoff) {
+			break
 		}
+		delete(n.done, n.doneFIFO[n.doneHead].key)
+		n.doneFIFO[n.doneHead] = doneEntry{}
+		n.doneHead++
 	}
+	if n.doneHead > len(n.doneFIFO)/2 {
+		// Slide the live half down so the popped front is reused
+		// instead of growing the backing array forever.
+		n.doneFIFO = n.doneFIFO[:copy(n.doneFIFO, n.doneFIFO[n.doneHead:])]
+		n.doneHead = 0
+	}
+	n.done[key] = struct{}{}
+	n.doneFIFO = append(n.doneFIFO, doneEntry{key: key, at: now})
 }
 
 // dispatch routes a complete message: replies to waiting requesters,

@@ -1,16 +1,22 @@
 // Adaptive micro-batching: a client-side coalescer that packs many
 // small requests bound for one peer into wire.TBatch frames.
 //
-// The shape mirrors continuous batching in serving systems: requests
-// accumulate in a queue and the queue flushes on whichever watermark
-// trips first — message count, byte size, or a max-delay timer armed by
-// the first message of a batch. A lone request therefore pays at most
-// MaxDelay extra latency, while a burst (e.g. a pipelined fan-out) is
-// packed densely and pays per-frame latency and framing overhead once
-// per flush. All knobs are steerable per object reference through the
-// ORB (GlobalPtr.SetBatchPolicy), in the spirit of the paper's Open
-// Implementation: batching is one more communication decision the
-// application can reach in and turn.
+// The flush is self-clocked, like Nagle's algorithm and continuous
+// batching in serving systems: a request ships at once when none of the
+// coalescer's frames is awaiting its reply; otherwise it queues, and
+// the queue ships when the reply it waits behind lands (the last one
+// out, when MaxDelay has put several frames in flight), when it
+// reaches MaxMessages or MaxBytes, or when MaxDelay runs out. A lone
+// request therefore pays no delay at all, while requests that arrive
+// during a round trip ride the next frame together and pay per-frame
+// latency and framing overhead once. The reply stream paces the
+// flushes, not a timer — which matters because a sub-millisecond timer
+// on a host with coarse timer slack fires late, and a timer-only flush
+// then idles the connection for the overshoot. MaxDelay stays as the
+// upper bound for a reply that is slow to land. All knobs are steerable
+// per object reference through the ORB (GlobalPtr.SetBatchPolicy), in
+// the spirit of the paper's Open Implementation: batching is one more
+// communication decision the application can reach in and turn.
 package transport
 
 import (
@@ -33,8 +39,8 @@ type BatchPolicy struct {
 	// (default 64 KiB). A single request larger than MaxBytes still
 	// ships — alone in its batch.
 	MaxBytes int
-	// MaxDelay bounds how long the first queued request waits for
-	// company (default 200µs).
+	// MaxDelay bounds how long a request queued behind an in-flight
+	// frame waits for that frame's reply (default 200µs).
 	MaxDelay time.Duration
 }
 
@@ -108,11 +114,14 @@ type Coalescer struct {
 	policy BatchPolicy
 	tracer *obs.Tracer // optional: records per-request "batch" spans
 
-	mu     sync.Mutex
-	queue  []batchItem
-	bytes  int
-	timer  *time.Timer
-	closed bool
+	mu    sync.Mutex
+	queue []batchItem
+	bytes int
+	// inflight counts frames sent whose reply (or failure) has not
+	// landed: the clock the queue flushes on.
+	inflight int
+	timer    *time.Timer
+	closed   bool
 }
 
 // NewCoalescer builds a coalescer flushing through send under policy.
@@ -130,6 +139,14 @@ func (c *Coalescer) Stats() (queued, queuedBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.queue), c.bytes
+}
+
+// InFlight reports how many of the coalescer's frames are awaiting
+// their reply.
+func (c *Coalescer) InFlight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inflight
 }
 
 // SetTracer installs the tracer used to record, for every traced
@@ -154,17 +171,16 @@ func (c *Coalescer) Begin(msg *wire.Message) (Pending, error) {
 	c.queue = append(c.queue, item)
 	c.bytes += len(msg.Body) + len(msg.Object) + len(msg.Method) + 64
 	var flush []batchItem
-	if len(c.queue) >= c.policy.MaxMessages || c.bytes >= c.policy.MaxBytes {
+	if c.inflight == 0 || len(c.queue) >= c.policy.MaxMessages || c.bytes >= c.policy.MaxBytes {
 		flush = c.takeLocked()
 	} else if c.timer == nil {
-		// First resident arms the delay watermark.
-		c.timer = time.AfterFunc(c.policy.MaxDelay, c.flushTimer)
+		// Queued behind an in-flight frame: its reply normally flushes
+		// the queue, the delay watermark bounds the wait.
+		c.timer = time.AfterFunc(c.policy.MaxDelay, c.Flush)
 	}
 	c.mu.Unlock()
 
-	if flush != nil {
-		c.dispatch(flush)
-	}
+	c.ship(flush)
 	return item.p, nil
 }
 
@@ -182,53 +198,63 @@ func (c *Coalescer) Flush() {
 	c.mu.Lock()
 	flush := c.takeLocked()
 	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
-	}
+	c.ship(flush)
 }
 
-// takeLocked removes the current queue for dispatch. Caller holds mu.
+// takeLocked removes the current queue for dispatch and counts the
+// frame it becomes as in flight. Caller holds mu.
 func (c *Coalescer) takeLocked() []batchItem {
+	if c.timer != nil {
+		c.timer.Stop()
+		c.timer = nil
+	}
 	if len(c.queue) == 0 {
 		return nil
 	}
 	q := c.queue
 	c.queue = nil
 	c.bytes = 0
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	c.inflight++
 	return q
 }
 
-func (c *Coalescer) flushTimer() {
+// landed accounts one frame's reply or failure. When it was the last
+// frame in flight, the pipe is empty and whatever queued behind it is
+// taken to ship next; while other frames are still out, the queue
+// keeps filling until one of the watermarks trips or the last of them
+// lands.
+func (c *Coalescer) landed() []batchItem {
 	c.mu.Lock()
-	c.timer = nil
-	flush := c.takeLocked()
-	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
+	defer c.mu.Unlock()
+	c.inflight--
+	if c.inflight > 0 {
+		return nil
+	}
+	return c.takeLocked()
+}
+
+// ship sends items (already counted in flight) as one frame and leaves
+// a goroutine to await its reply. A frame that fails before reaching
+// the wire has landed too, so the queue behind it ships next.
+func (c *Coalescer) ship(items []batchItem) {
+	for items != nil {
+		p, err := c.send1(items)
+		if err == nil {
+			go c.await(p, items)
+			return
+		}
+		c.failAll(items, err)
+		items = c.landed()
 	}
 }
 
-// dispatch ships one batch and demultiplexes the batch reply to the
-// items by position. A batch of one skips TBatch framing entirely —
-// adaptivity means a lone caller never pays the batch envelope.
-func (c *Coalescer) dispatch(items []batchItem) {
+// send1 issues one frame for items. A batch of one skips TBatch framing
+// entirely — adaptivity means a lone caller never pays the batch
+// envelope.
+func (c *Coalescer) send1(items []batchItem) (Pending, error) {
 	if len(items) == 1 {
-		p, err := c.send(items[0].msg)
-		if err != nil {
-			items[0].p.resolve(nil, err)
-			return
-		}
-		go func() {
-			reply, err := p.Reply()
-			items[0].p.resolve(reply, err)
-		}()
-		return
+		return c.send(items[0].msg)
 	}
-
 	msgs := make([]*wire.Message, len(items))
 	for i, it := range items {
 		msgs[i] = it.msg
@@ -246,40 +272,43 @@ func (c *Coalescer) dispatch(items []batchItem) {
 	}
 	frame, err := wire.EncodeBatch(msgs)
 	if err != nil {
-		c.failAll(items, err)
-		return
+		return nil, err
 	}
-	p, err := c.send(frame)
+	return c.send(frame)
+}
+
+// await waits for one frame's reply, ships the queue that built up
+// behind it, then demultiplexes the reply to the frame's items by
+// position.
+func (c *Coalescer) await(p Pending, items []batchItem) {
+	reply, err := p.Reply()
+	c.ship(c.landed())
 	if err != nil {
 		c.failAll(items, err)
 		return
 	}
-	go func() {
-		reply, err := p.Reply()
-		if err != nil {
-			c.failAll(items, err)
-			return
-		}
-		if reply.Type != wire.TBatch {
-			// A whole-batch fault (e.g. the peer predates TBatch)
-			// fans out to every item; per-call faults arrive inside
-			// the batch instead.
-			c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply is %v frame", reply.Type))
-			return
-		}
-		subs, derr := wire.DecodeBatch(reply)
-		if derr != nil {
-			c.failAll(items, derr)
-			return
-		}
-		if len(subs) != len(items) {
-			c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply has %d entries, want %d", len(subs), len(items)))
-			return
-		}
-		for i, it := range items {
-			it.p.resolve(subs[i], nil)
-		}
-	}()
+	if len(items) == 1 {
+		items[0].p.resolve(reply, nil)
+		return
+	}
+	if reply.Type != wire.TBatch {
+		// A whole-batch fault (e.g. the peer predates TBatch) fans out
+		// to every item; per-call faults arrive inside the batch instead.
+		c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply is %v frame", reply.Type))
+		return
+	}
+	subs, err := wire.DecodeBatch(reply)
+	if err != nil {
+		c.failAll(items, err)
+		return
+	}
+	if len(subs) != len(items) {
+		c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply has %d entries, want %d", len(subs), len(items)))
+		return
+	}
+	for i, it := range items {
+		it.p.resolve(subs[i], nil)
+	}
 }
 
 func (c *Coalescer) failAll(items []batchItem, err error) {
@@ -288,13 +317,12 @@ func (c *Coalescer) failAll(items []batchItem, err error) {
 	}
 }
 
-// Close flushes the queue and rejects further Begins.
+// Close flushes the queue and rejects further Begins. Frames already
+// sent still land, and their replies still reach their callers.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
 	c.closed = true
 	flush := c.takeLocked()
 	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
-	}
+	c.ship(flush)
 }

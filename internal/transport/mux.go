@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openhpcxx/internal/errs"
@@ -49,6 +48,12 @@ type Mux struct {
 	pending map[uint64]*PendingCall
 	err     error
 	closed  bool
+	// watchdog is the mux's one timeout timer, armed for watchAt, the
+	// earliest deadline among pending calls (zero: disarmed). With a
+	// fixed timeout, deadlines rise in issue order, so a Begin almost
+	// never touches it — there is no timer per call.
+	watchdog *time.Timer
+	watchAt  time.Time
 }
 
 // NewMux wraps conn and starts its reply-reading loop.
@@ -80,11 +85,11 @@ func (m *Mux) SetTimeout(d time.Duration) {
 type PendingCall struct {
 	m  *Mux
 	id uint64
-	// timer is the timeout watchdog; atomic because it is armed after
-	// the pending is already visible to the read loop, which may be
-	// resolving it concurrently. A timer that escapes the Stop fires
-	// harmlessly: forget and resolve are both idempotent.
-	timer atomic.Pointer[time.Timer]
+	// deadline (zero: none) is when the watchdog gives up on the call;
+	// method and timeout only word its error.
+	deadline time.Time
+	timeout  time.Duration
+	method   string
 
 	once  sync.Once
 	done  chan struct{}
@@ -105,9 +110,6 @@ func (p *PendingCall) Reply() (*wire.Message, error) {
 // before done closes, so readers that wait on Done observe them safely.
 func (p *PendingCall) resolve(reply *wire.Message, err error) {
 	p.once.Do(func() {
-		if t := p.timer.Load(); t != nil {
-			t.Stop()
-		}
 		p.reply, p.err = reply, err
 		close(p.done)
 	})
@@ -171,6 +173,7 @@ func (m *Mux) fail(err error) {
 	if m.err == nil {
 		m.err = err
 	}
+	m.disarmLocked()
 	failed := make([]*PendingCall, 0, len(m.pending))
 	for id, p := range m.pending {
 		delete(m.pending, id)
@@ -187,8 +190,9 @@ func (m *Mux) fail(err error) {
 // handle without waiting for the reply — the request pipelining
 // primitive. Any number of Begins may be outstanding; replies are
 // demultiplexed by id. The mux's timeout (if any) applies to each
-// pending exchange individually.
+// pending exchange individually, counted from Begin.
 func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
+	now := time.Now()
 	m.mu.Lock()
 	if m.closed || m.err != nil {
 		err := m.err
@@ -202,8 +206,13 @@ func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
 	m.nextID++
 	msg.RequestID = id
 	p := &PendingCall{m: m, id: id, done: make(chan struct{})}
+	if m.timeout > 0 {
+		p.deadline, p.timeout, p.method = now.Add(m.timeout), m.timeout, msg.Method
+		if m.watchAt.IsZero() || p.deadline.Before(m.watchAt) {
+			m.armLocked(p.deadline, now)
+		}
+	}
 	m.pending[id] = p
-	timeout := m.timeout
 	m.mu.Unlock()
 
 	m.wmu.Lock()
@@ -216,25 +225,54 @@ func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
 		p.resolve(nil, werr)
 		return nil, werr
 	}
+	return p, nil
+}
 
-	if timeout > 0 {
-		method := msg.Method
-		t := time.AfterFunc(timeout, func() {
-			m.forget(id)
-			p.resolve(nil, errs.Newf(errs.Expired, "transport: call %q timed out after %v", method, timeout))
-		})
-		p.timer.Store(t)
-		// The pending may already have resolved (fast reply, abandon,
-		// connection failure) between the map insert and the Store above;
-		// resolve couldn't see the timer then, so stop it here. Both
-		// checks together guarantee no timer outlives its exchange.
-		select {
-		case <-p.done:
-			t.Stop()
-		default:
+// armLocked points the watchdog at deadline. Caller holds mu.
+func (m *Mux) armLocked(deadline, now time.Time) {
+	m.watchAt = deadline
+	if m.watchdog == nil {
+		m.watchdog = time.AfterFunc(deadline.Sub(now), m.expire)
+	} else {
+		m.watchdog.Reset(deadline.Sub(now))
+	}
+}
+
+// disarmLocked stops the watchdog. Caller holds mu.
+func (m *Mux) disarmLocked() {
+	if m.watchdog != nil {
+		m.watchdog.Stop()
+	}
+	m.watchAt = time.Time{}
+}
+
+// expire is the watchdog: it times out every pending call whose
+// deadline has passed and re-arms for the earliest one left. A firing
+// that finds nothing due (the call it was armed for already finished)
+// only re-arms.
+func (m *Mux) expire() {
+	now := time.Now()
+	var due []*PendingCall
+	var next time.Time
+	m.mu.Lock()
+	m.watchAt = time.Time{}
+	for id, p := range m.pending {
+		switch {
+		case p.deadline.IsZero():
+		case !p.deadline.After(now):
+			delete(m.pending, id)
+			due = append(due, p)
+		case next.IsZero() || p.deadline.Before(next):
+			next = p.deadline
 		}
 	}
-	return p, nil
+	if !next.IsZero() {
+		m.armLocked(next, now)
+	}
+	m.mu.Unlock()
+	for _, p := range due {
+		p.resolve(nil, errs.Newf(errs.Expired, "transport: call %q timed out after %v", p.method, p.timeout))
+	}
 }
 
 // Call sends msg (assigning its RequestID) and waits for the matching
@@ -286,6 +324,7 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
+	m.disarmLocked()
 	m.mu.Unlock()
 	err := m.conn.Close()
 	m.fail(ErrMuxClosed)

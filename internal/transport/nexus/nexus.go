@@ -24,7 +24,9 @@ import (
 )
 
 // Handler processes one RSR. The returned buffer travels back to the
-// requester; a nil return with nil error produces an empty reply.
+// requester; a nil return with nil error produces an empty reply. buf
+// is the body of the request frame the node's server read for this RSR
+// alone: the handler owns it and may keep or alias it.
 type Handler func(buf []byte) ([]byte, error)
 
 // Startpoint is a serializable remote reference to an endpoint. Addr is
@@ -137,7 +139,21 @@ func (n *Node) endpoint(name string) (*Endpoint, bool) {
 
 // RSR frames reuse the ORB wire format: Object carries the endpoint
 // name, Method carries "rsr:<handler-id>".
-func rsrMethod(id uint32) string { return "rsr:" + strconv.FormatUint(uint64(id), 10) }
+func rsrMethod(id uint32) string {
+	if id < uint32(len(rsrMethods)) {
+		return rsrMethods[id]
+	}
+	return "rsr:" + strconv.FormatUint(uint64(id), 10)
+}
+
+// rsrMethods spells the low handler ids once, so issuing an RSR does
+// not format its method name every time.
+var rsrMethods = func() (m [16]string) {
+	for i := range m {
+		m[i] = "rsr:" + strconv.Itoa(i)
+	}
+	return m
+}()
 
 func parseRSRMethod(m string) (uint32, error) {
 	s, ok := strings.CutPrefix(m, "rsr:")

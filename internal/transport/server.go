@@ -12,8 +12,8 @@ import (
 
 // Handler processes one inbound frame and returns the reply frame. A nil
 // reply means "no reply" (one-way control traffic). Handlers must be safe
-// for concurrent use; the server invokes them from per-request
-// goroutines so a slow method cannot head-of-line block a connection.
+// for concurrent use; the server runs each request on its own worker so
+// a slow method cannot head-of-line block a connection.
 type Handler func(*wire.Message) *wire.Message
 
 // Server accepts connections from a listener and runs the frame loop on
@@ -96,7 +96,18 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// connLoop reads frames off one connection and hands each to a worker.
+//
+// Workers are persistent: each runs requests until the connection
+// closes, so a call does not pay for a fresh goroutine and the regrowth
+// of its stack. A frame goes to a worker idle in its receive if there is
+// one; otherwise the loop starts another, up to maxPerC per connection.
+// With all maxPerC busy the loop blocks until one frees up — the same
+// per-connection bound as before, and no request ever waits behind a
+// slow one while the bound has room.
 func (s *Server) connLoop(c net.Conn) {
+	var wmu sync.Mutex
+	work := make(chan *wire.Message)
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -106,9 +117,10 @@ func (s *Server) connLoop(c net.Conn) {
 		// The loop exits only on read error or server close; the
 		// connection is already dead either way.
 		_ = c.Close()
+		// Idle workers exit; busy ones finish their request first.
+		close(work)
 	}()
-	var wmu sync.Mutex
-	sem := make(chan struct{}, s.maxPerC)
+	workers := 0
 	for {
 		msg, err := wire.Read(c)
 		if err != nil {
@@ -120,26 +132,46 @@ func (s *Server) connLoop(c net.Conn) {
 			sp.SetBytes(len(msg.Body))
 			sp.End()
 		}
-		sem <- struct{}{}
-		s.wg.Add(1)
-		go func(msg *wire.Message) {
-			defer s.wg.Done()
-			defer func() { <-sem }()
-			reply := s.handle(msg)
-			if reply == nil {
-				return
-			}
-			reply.RequestID = msg.RequestID
-			wmu.Lock()
-			werr := wire.Write(c, reply)
-			wmu.Unlock()
-			if werr != nil {
-				// A failed reply write poisons the stream; kill the
-				// connection so the read loop unblocks. Its close error
-				// adds nothing to werr.
-				_ = c.Close()
-			}
-		}(msg)
+		select {
+		case work <- msg:
+			continue
+		default:
+		}
+		if workers < s.maxPerC {
+			workers++
+			s.wg.Add(1)
+			go s.worker(c, &wmu, msg, work)
+			continue
+		}
+		work <- msg
+	}
+}
+
+// worker serves first, then every request handed to it on work, until
+// the connection loop closes work.
+func (s *Server) worker(c net.Conn, wmu *sync.Mutex, first *wire.Message, work <-chan *wire.Message) {
+	defer s.wg.Done()
+	s.serve(c, wmu, first)
+	for msg := range work {
+		s.serve(c, wmu, msg)
+	}
+}
+
+// serve runs one request and writes its reply, if any.
+func (s *Server) serve(c net.Conn, wmu *sync.Mutex, msg *wire.Message) {
+	reply := s.handle(msg)
+	if reply == nil {
+		return
+	}
+	reply.RequestID = msg.RequestID
+	wmu.Lock()
+	werr := wire.Write(c, reply)
+	wmu.Unlock()
+	if werr != nil {
+		// A failed reply write poisons the stream; kill the connection
+		// so the read loop unblocks. Its close error adds nothing to
+		// werr.
+		_ = c.Close()
 	}
 }
 

@@ -23,7 +23,8 @@ const MaxBatchMessages = 4096
 // EncodeBatch packs msgs into one TBatch frame. The outer frame's
 // RequestID is left zero — the transport assigns it like any other
 // request — and sub-messages keep their own ids (reply matching inside
-// a batch is positional).
+// a batch is positional). The body is sized exactly and each
+// sub-message is encoded straight into it.
 func EncodeBatch(msgs []*Message) (*Message, error) {
 	if len(msgs) == 0 {
 		return nil, errs.New(errs.BadRequest, "wire: empty batch")
@@ -31,37 +32,41 @@ func EncodeBatch(msgs []*Message) (*Message, error) {
 	if len(msgs) > MaxBatchMessages {
 		return nil, errs.Newf(errs.BadRequest, "wire: batch of %d exceeds %d", len(msgs), MaxBatchMessages)
 	}
-	size := 0
-	for _, m := range msgs {
-		size += 64 + len(m.Body)
-	}
-	e := xdr.NewEncoder(size)
-	e.PutUint32(uint32(len(msgs)))
-	sub := xdr.NewEncoder(0)
+	size := 4
 	for _, m := range msgs {
 		if m.Type == TBatch {
 			return nil, errs.New(errs.BadRequest, "wire: nested batch")
 		}
-		sub.Reset()
-		if err := m.MarshalXDR(sub); err != nil {
-			return nil, err
-		}
-		e.PutOpaque(sub.Bytes())
+		// A message's encoding is a whole number of XDR units, so its
+		// opaque wrapper adds the length prefix and no padding.
+		size += 4 + m.Size()
 	}
-	body := e.Bytes()
-	if len(body) > MaxFrame {
+	if size > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	return &Message{Type: TBatch, Body: body}, nil
+	e := xdr.NewEncoder(size)
+	e.PutUint32(uint32(len(msgs)))
+	for _, m := range msgs {
+		e.PutUint32(uint32(m.Size()))
+		if err := m.MarshalXDR(e); err != nil {
+			return nil, err
+		}
+	}
+	return &Message{Type: TBatch, Body: e.Bytes()}, nil
 }
 
 // DecodeBatch unpacks a TBatch frame into its sub-messages. Nested
 // batches are rejected, so dispatch recursion is bounded at one level.
+// The sub-messages alias m.Body (DecodeOwned): every caller decodes a
+// batch it read off the wire itself — the server dispatching a batch
+// request, the coalescer demultiplexing a batch reply — and nothing
+// rewrites that frame afterwards.
 func DecodeBatch(m *Message) ([]*Message, error) {
 	if m.Type != TBatch {
 		return nil, errs.Newf(errs.Codec, "wire: DecodeBatch on %v frame", m.Type)
 	}
-	d := xdr.NewDecoder(m.Body)
+	var d xdr.Decoder
+	d.Reset(m.Body)
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -74,12 +79,12 @@ func DecodeBatch(m *Message) ([]*Message, error) {
 	}
 	out := make([]*Message, 0, n)
 	for i := uint32(0); i < n; i++ {
-		raw, err := d.Opaque()
+		raw, err := d.OpaqueView()
 		if err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}
-		sub := new(Message)
-		if err := xdr.Unmarshal(raw, sub); err != nil {
+		sub, err := DecodeOwned(raw)
+		if err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}
 		if sub.Type == TBatch {

@@ -120,6 +120,9 @@ func FuzzDecodeHeader(f *testing.F) {
 	v1.PutUint32(0)
 	v1.PutOpaque([]byte("v1"))
 	f.Add(append([]byte(nil), v1.Bytes()...))
+	// v4 frame: traced with the keep-hint cleared, so the flags word is
+	// on the wire.
+	f.Add(encodeFrame(f, &Message{Type: TRequest, Object: "o", Method: "m", TraceID: 1, SpanID: 2, Body: []byte("v4")}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m1 Message
@@ -127,6 +130,9 @@ func FuzzDecodeHeader(f *testing.F) {
 			return // rejected input: fine, as long as it did not panic
 		}
 		re := encodeFrame(t, &m1)
+		if m1.Size() != len(re) {
+			t.Fatalf("Size() = %d, encoding is %d bytes", m1.Size(), len(re))
+		}
 		var m2 Message
 		if err := xdr.Unmarshal(re, &m2); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)

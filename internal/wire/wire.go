@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
@@ -183,6 +184,21 @@ func (m *Message) MarshalXDR(e *xdr.Encoder) error {
 	return nil
 }
 
+// Size is the exact length of m's encoding after the frame length
+// prefix — what MarshalXDR writes. Every send path sizes its buffer
+// with it, so an encode allocates once and never grows.
+func (m *Message) Size() int {
+	n := 4 + 4 + 4 + 8 + xdr.SizeOpaque(len(m.Object)) + xdr.SizeOpaque(len(m.Method)) +
+		8 + 8 + 8 + 8 + 4 + xdr.SizeOpaque(len(m.Body))
+	if m.wireVersion() >= 4 {
+		n += 4
+	}
+	for _, env := range m.Envelopes {
+		n += xdr.SizeOpaque(len(env.ID)) + xdr.SizeOpaque(len(env.Data))
+	}
+	return n
+}
+
 // Frame errors.
 var (
 	ErrBadMagic   = errors.New("wire: bad magic")
@@ -190,8 +206,47 @@ var (
 	ErrTooLarge   = errors.New("wire: frame exceeds MaxFrame")
 )
 
-// UnmarshalXDR decodes everything after the frame length prefix.
+// UnmarshalXDR decodes everything after the frame length prefix. Body
+// and envelope Data are copied out of the decoder's input, which the
+// caller may go on to reuse.
 func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
+	return m.decode(d, false)
+}
+
+// DecodeOwned decodes one message (the bytes after the frame length
+// prefix) from a buffer the caller hands over: Body and envelope Data
+// alias buf instead of being copied, so the caller must never modify or
+// reuse buf afterwards. Read decodes every frame it reads this way, as
+// do the nexus embedding and DecodeBatch, whose buffers are the bodies
+// of frames Read allocated.
+func DecodeOwned(buf []byte) (*Message, error) {
+	m := new(Message)
+	if err := decodeOwnedInto(buf, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func decodeOwnedInto(buf []byte, m *Message) error {
+	var d xdr.Decoder
+	d.Reset(buf)
+	if err := m.decode(&d, true); err != nil {
+		return err
+	}
+	return xdr.CheckTrailing(d.Remaining())
+}
+
+// decode reads a message. With alias set, Body and envelope Data are
+// views of the decoder's input, capacity-capped so an append on them
+// reallocates instead of overwriting the bytes that follow.
+func (m *Message) decode(d *xdr.Decoder, alias bool) error {
+	opaque := func() ([]byte, error) {
+		if !alias {
+			return d.Opaque()
+		}
+		b, err := d.OpaqueView()
+		return b[:len(b):len(b)], err
+	}
 	magic, err := d.Uint32()
 	if err != nil {
 		return err
@@ -214,10 +269,10 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	if m.RequestID, err = d.Uint64(); err != nil {
 		return err
 	}
-	if m.Object, err = d.String(); err != nil {
+	if m.Object, err = internString(d); err != nil {
 		return err
 	}
-	if m.Method, err = d.String(); err != nil {
+	if m.Method, err = internString(d); err != nil {
 		return err
 	}
 	if m.Epoch, err = d.Uint64(); err != nil {
@@ -256,45 +311,63 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	}
 	m.Envelopes = make([]Envelope, n)
 	for i := range m.Envelopes {
-		if m.Envelopes[i].ID, err = d.String(); err != nil {
+		if m.Envelopes[i].ID, err = internString(d); err != nil {
 			return err
 		}
-		if m.Envelopes[i].Data, err = d.Opaque(); err != nil {
+		if m.Envelopes[i].Data, err = opaque(); err != nil {
 			return err
 		}
 	}
-	m.Body, err = d.Opaque()
+	m.Body, err = opaque()
 	return err
 }
+
+// writeBufs recycles Write's frame buffers: io.Writer implementations
+// must not retain p, so a buffer is free again once Write returns.
+// Buffers that grew past maxPooledWrite are left to the collector, so a
+// burst of bulk frames does not pin megabytes in the pool.
+var writeBufs = sync.Pool{New: func() any { return new(xdr.Encoder) }}
+
+const maxPooledWrite = 64 << 10
 
 // Write frames and writes m to w. It is not safe for concurrent use on
 // one writer; callers serialize per connection.
 func Write(w io.Writer, m *Message) error {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	e.PutUint32(0) // frame length placeholder
-	if err := m.MarshalXDR(e); err != nil {
-		return err
-	}
-	buf := e.Bytes()
-	n := len(buf) - 4
+	n := m.Size()
 	if n > MaxFrame {
 		return ErrTooLarge
 	}
-	buf[0] = byte(n >> 24)
-	buf[1] = byte(n >> 16)
-	buf[2] = byte(n >> 8)
-	buf[3] = byte(n)
-	_, err := w.Write(buf)
+	e := writeBufs.Get().(*xdr.Encoder)
+	e.Reset()
+	e.Grow(4 + n)
+	e.PutUint32(uint32(n))
+	err := m.MarshalXDR(e)
+	if err == nil {
+		_, err = w.Write(e.Bytes())
+	}
+	if cap(e.Bytes()) <= maxPooledWrite {
+		writeBufs.Put(e)
+	}
 	return err
 }
 
-// Read reads one frame from r.
+// frame is what Read allocates per frame: the length prefix rides in
+// the same allocation as the message instead of escaping on its own
+// through the io.Reader call.
+type frame struct {
+	hdr [4]byte
+	msg Message
+}
+
+// Read reads one frame from r. The frame buffer is allocated here and
+// owned by the returned message: Body and envelope Data alias it
+// (DecodeOwned) rather than being copied out a second time.
 func Read(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	f := new(frame)
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3]))
+	n := int(uint32(f.hdr[0])<<24 | uint32(f.hdr[1])<<16 | uint32(f.hdr[2])<<8 | uint32(f.hdr[3]))
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
@@ -302,9 +375,8 @@ func Read(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	m := new(Message)
-	if err := xdr.Unmarshal(buf, m); err != nil {
+	if err := decodeOwnedInto(buf, &f.msg); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &f.msg, nil
 }

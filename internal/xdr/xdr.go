@@ -15,6 +15,7 @@ package xdr
 import (
 	"errors"
 	"math"
+	"sync"
 
 	"openhpcxx/internal/errs"
 )
@@ -45,10 +46,21 @@ type Marshaler interface {
 }
 
 // Unmarshaler is implemented by types that can read themselves from a
-// Decoder.
+// Decoder. UnmarshalXDR must not retain d after it returns: Unmarshal
+// recycles its decoders.
 type Unmarshaler interface {
 	UnmarshalXDR(d *Decoder) error
 }
+
+// Sizer is implemented by Marshalers that know their exact encoded
+// length, so Marshal can allocate the output once at its final size.
+type Sizer interface {
+	SizeXDR() int
+}
+
+// SizeOpaque is the encoded length of an n-byte variable-length opaque
+// or string: the length prefix plus the data padded to four bytes.
+func SizeOpaque(n int) int { return 4 + n + pad(n) }
 
 func pad(n int) int { return (4 - n&3) & 3 }
 
@@ -71,6 +83,17 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for at least n more bytes without another
+// allocation, so a caller that knows its encoded size sizes the buffer
+// once.
+func (e *Encoder) Grow(n int) {
+	if l := len(e.buf); l+n > cap(e.buf) {
+		nb := make([]byte, l, l+n)
+		copy(nb, e.buf)
+		e.buf = nb
+	}
+}
 
 func (e *Encoder) grow(n int) []byte {
 	l := len(e.buf)
@@ -204,13 +227,31 @@ func (e *Encoder) PutOptional(present bool, fn func(*Encoder)) {
 	}
 }
 
-// Marshal encodes a Marshaler into a fresh byte slice.
+// Marshal and Unmarshal hand their Encoder and Decoder to an interface
+// method, which moves them to the heap; recycling them keeps a small
+// encode or decode at one allocation (the output) or none.
+var (
+	encoders = sync.Pool{New: func() any { return new(Encoder) }}
+	decoders = sync.Pool{New: func() any { return new(Decoder) }}
+)
+
+// Marshal encodes a Marshaler into a fresh byte slice, sized exactly
+// when m is a Sizer.
 func Marshal(m Marshaler) ([]byte, error) {
-	e := NewEncoder(64)
-	if err := m.MarshalXDR(e); err != nil {
+	n := 64
+	if s, ok := m.(Sizer); ok {
+		n = s.SizeXDR()
+	}
+	e := encoders.Get().(*Encoder)
+	e.buf = make([]byte, 0, n)
+	err := m.MarshalXDR(e)
+	out := e.buf
+	e.buf = nil
+	encoders.Put(e)
+	if err != nil {
 		return nil, err
 	}
-	return e.Bytes(), nil
+	return out, nil
 }
 
 // Decoder reads XDR-encoded values from a byte slice.
@@ -221,6 +262,10 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder reading from p.
 func NewDecoder(p []byte) *Decoder { return &Decoder{buf: p} }
+
+// Reset points the decoder at p, so a Decoder value can live on the
+// caller's stack instead of being allocated per input.
+func (d *Decoder) Reset(p []byte) { d.buf, d.off = p, 0 }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -435,12 +480,23 @@ func (d *Decoder) Optional(fn func(*Decoder) error) (present bool, err error) {
 
 // Unmarshal decodes p into u, requiring that all input is consumed.
 func Unmarshal(p []byte, u Unmarshaler) error {
-	d := NewDecoder(p)
-	if err := u.UnmarshalXDR(d); err != nil {
+	d := decoders.Get().(*Decoder)
+	d.Reset(p)
+	err := u.UnmarshalXDR(d)
+	rest := d.Remaining()
+	d.Reset(nil)
+	decoders.Put(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return errs.Wrapf(errs.Codec, ErrTrailing, "%d bytes", d.Remaining())
+	return CheckTrailing(rest)
+}
+
+// CheckTrailing is Unmarshal's all-input-consumed rule for callers that
+// drive a Decoder themselves: rest is the decoder's Remaining count.
+func CheckTrailing(rest int) error {
+	if rest != 0 {
+		return errs.Wrapf(errs.Codec, ErrTrailing, "%d bytes", rest)
 	}
 	return nil
 }
