@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race determinism cover faults fuzz load-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
+.PHONY: ci fmt vet lint build test race determinism cover faults fuzz load-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
 
-ci: vet lint build test race determinism cover load-smoke bench-json
+ci: fmt vet lint build test race determinism cover load-smoke bench-json
+
+# Every Go file in the module must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -55,13 +59,19 @@ faults:
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
 		./internal/core/ ./internal/capability/ ./internal/bench/
 
-# Frame-decoder fuzzing: the header decoder (with the v3 trace fields)
-# and the TBatch body decoder must never panic and must round-trip every
-# input they accept. Go runs one fuzz target per invocation.
+# Decoder fuzzing: the header decoder (with the v3 trace fields) and the
+# TBatch body decoder must never panic and must round-trip every input
+# they accept; the XDR primitives and the reflective decoder must never
+# panic on arbitrary bytes; and the word-at-a-time array kernels must
+# match their byte-at-a-time references. Go runs one fuzz target per
+# invocation.
 fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzRead -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzReflectDecode -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzArrayKernels -fuzztime=10s
 
 # Capacity-harness smoke: run the open-loop smoke scenario end to end on
 # a fake clock — the whole stack (grid topology, servers, mixed workload,

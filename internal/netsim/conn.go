@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -101,8 +102,9 @@ func newHalfPipe(p LinkProfile) *halfPipe {
 	return h
 }
 
-// write shapes and enqueues p, blocking while the flow-control window is
-// full.
+// write shapes and enqueues p as one packet, blocking while the
+// flow-control window is full. The pipe takes ownership of p: callers
+// hand it a copy of what they were given.
 func (h *halfPipe) write(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -136,9 +138,7 @@ func (h *halfPipe) write(p []byte) (int, error) {
 			clear = shared
 		}
 	}
-	data := make([]byte, len(p))
-	copy(data, p)
-	h.queue = append(h.queue, packet{data: data, deliverAt: clear.Add(h.profile.Latency)})
+	h.queue = append(h.queue, packet{data: p, deliverAt: clear.Add(h.profile.Latency)})
 	h.queued += len(p)
 	h.cond.Broadcast()
 	return len(p), nil
@@ -306,7 +306,23 @@ func Pipe(profile LinkProfile, a, b Addr) (*Conn, *Conn) {
 func (c *Conn) Read(p []byte) (int, error) { return c.recv.read(p) }
 
 // Write implements net.Conn.
-func (c *Conn) Write(p []byte) (int, error) { return c.send.write(p) }
+func (c *Conn) Write(p []byte) (int, error) {
+	data := make([]byte, len(p))
+	copy(data, p)
+	return c.send.write(data)
+}
+
+// WriteBuffers writes the concatenation of bufs as one packet, which the
+// link shapes, meters and delivers exactly like a single Write of the
+// joined bytes: one TxTime with its per-packet FrameOverhead, one LAN
+// reservation, one flow-control charge. The bytes are copied once,
+// straight into the packet, so a caller with a frame in pieces (header,
+// body, padding) need not join them first.
+func (c *Conn) WriteBuffers(bufs [][]byte) (int, error) {
+	// bytes.Join allocates without zeroing; make followed by append
+	// would clear the packet before overwriting it.
+	return c.send.write(bytes.Join(bufs, nil))
+}
 
 // Close implements net.Conn. Both directions observe the close: pending
 // data drains, then readers see io.EOF.

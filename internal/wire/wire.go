@@ -161,6 +161,14 @@ func (m *Message) wireVersion() uint32 {
 
 // MarshalXDR encodes everything after the frame length prefix.
 func (m *Message) MarshalXDR(e *xdr.Encoder) error {
+	m.marshalHeader(e)
+	e.PutOpaque(m.Body)
+	return nil
+}
+
+// marshalHeader encodes everything between the frame length prefix and
+// the body.
+func (m *Message) marshalHeader(e *xdr.Encoder) {
 	ver := m.wireVersion()
 	e.PutUint32(Magic)
 	e.PutUint32(ver)
@@ -180,8 +188,6 @@ func (m *Message) MarshalXDR(e *xdr.Encoder) error {
 		e.PutString(env.ID)
 		e.PutOpaque(env.Data)
 	}
-	e.PutOpaque(m.Body)
-	return nil
 }
 
 // Size is the exact length of m's encoding after the frame length
@@ -330,8 +336,23 @@ var writeBufs = sync.Pool{New: func() any { return new(xdr.Encoder) }}
 
 const maxPooledWrite = 64 << 10
 
+// gatherWriter is a writer that takes a frame in pieces and sends their
+// concatenation as one write (netsim.Conn).
+type gatherWriter interface {
+	WriteBuffers(bufs [][]byte) (int, error)
+}
+
+// zeroPad supplies a gathered body's XDR padding.
+var zeroPad [3]byte
+
 // Write frames and writes m to w. It is not safe for concurrent use on
 // one writer; callers serialize per connection.
+//
+// A frame whose body exceeds maxPooledWrite goes to a gatherWriter as
+// one gathered write: only the header and the body's length prefix are
+// encoded, and the body is handed over in place instead of being copied
+// into a frame-sized buffer. The bytes on the wire are the same either
+// way; any other writer gets them in one contiguous Write.
 func Write(w io.Writer, m *Message) error {
 	n := m.Size()
 	if n > MaxFrame {
@@ -339,15 +360,31 @@ func Write(w io.Writer, m *Message) error {
 	}
 	e := writeBufs.Get().(*xdr.Encoder)
 	e.Reset()
-	e.Grow(4 + n)
-	e.PutUint32(uint32(n))
-	err := m.MarshalXDR(e)
-	if err == nil {
-		_, err = w.Write(e.Bytes())
+	var err error
+	if gw, ok := w.(gatherWriter); ok && len(m.Body) > maxPooledWrite {
+		err = writeGathered(gw, e, m, n)
+	} else {
+		e.Grow(4 + n)
+		e.PutUint32(uint32(n))
+		if err = m.MarshalXDR(e); err == nil {
+			_, err = w.Write(e.Bytes())
+		}
 	}
 	if cap(e.Bytes()) <= maxPooledWrite {
 		writeBufs.Put(e)
 	}
+	return err
+}
+
+// writeGathered writes the n-byte encoding of m as (header, body, pad),
+// encoding only the header and the body's length prefix into e.
+func writeGathered(w gatherWriter, e *xdr.Encoder, m *Message, n int) error {
+	bodyPad := xdr.SizeOpaque(len(m.Body)) - 4 - len(m.Body)
+	e.Grow(4 + n - len(m.Body) - bodyPad)
+	e.PutUint32(uint32(n))
+	m.marshalHeader(e)
+	e.PutUint32(uint32(len(m.Body)))
+	_, err := w.WriteBuffers([][]byte{e.Bytes(), m.Body, zeroPad[:bodyPad]})
 	return err
 }
 

@@ -235,10 +235,32 @@ func (d *Decoder) unmarshalReflect(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		out := reflect.MakeSlice(v.Type(), n, n)
+		// A zero-size element costs no memory whatever the count;
+		// otherwise the count is believed only as far as the input
+		// backs it, and the slice grows as elements actually arrive.
+		// An element that takes memory but reads no input (a struct of
+		// unexported or skipped fields, an Unmarshaler that reads
+		// nothing) is not backed at all, so only maxUnbacked bytes of
+		// such elements decode.
+		size := v.Type().Elem().Size()
+		c := n
+		if size != 0 {
+			c = d.maxItems(n)
+		}
+		out := reflect.New(v.Type()).Elem()
+		out.Set(reflect.MakeSlice(v.Type(), 0, c))
+		var unbacked uintptr
 		for i := 0; i < n; i++ {
+			out.Grow(1)
+			out.SetLen(i + 1)
+			before := d.Remaining()
 			if err := d.unmarshalReflect(out.Index(i)); err != nil {
 				return err
+			}
+			if d.Remaining() == before {
+				if unbacked += size; unbacked > maxUnbacked {
+					return errs.Wrapf(errs.Codec, ErrLength, "%d %s elements read no input", n, v.Type().Elem())
+				}
 			}
 		}
 		v.Set(out)
@@ -256,7 +278,8 @@ func (d *Decoder) unmarshalReflect(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		out := reflect.MakeMapWithSize(v.Type(), n)
+		// Every entry carries a string key, so none encodes to nothing.
+		out := reflect.MakeMapWithSize(v.Type(), d.maxItems(n))
 		for i := 0; i < n; i++ {
 			k, err := d.String()
 			if err != nil {
@@ -299,3 +322,14 @@ func (d *Decoder) unmarshalReflect(v reflect.Value) error {
 	}
 	return nil
 }
+
+// maxUnbacked bounds the memory a slice's elements may take when they
+// read no input, so a length prefix alone cannot make the decoder
+// allocate more.
+const maxUnbacked = 16 << 10
+
+// maxItems caps a decoded element count n, which comes off the wire, at
+// what the unread input can hold: every XDR item is a multiple of four
+// bytes, so an element that encodes to anything takes at least four.
+// Decoders preallocate only that many.
+func (d *Decoder) maxItems(n int) int { return min(n, d.Remaining()/4) }
